@@ -2,6 +2,7 @@ package whilepar
 
 import (
 	"context"
+	"fmt"
 
 	"whilepar/internal/cancel"
 	"whilepar/internal/doacross"
@@ -101,7 +102,7 @@ type SpecSpec = speculate.Spec
 // speculation memory by the strip size and containing the cost of a
 // failed PD test to one strip (Sections 4, 5.1, 8.1).
 func RunStripped(spec SpecSpec, total, strip int, par StripPar, seq StripSeq) (StripReport, error) {
-	return speculate.RunStripped(spec, total, strip, par, seq)
+	return RunStrippedContext(context.Background(), spec, total, strip, par, seq)
 }
 
 // RunStrippedContext is RunStripped under a context: the engine checks
@@ -112,7 +113,10 @@ func RunStripped(spec SpecSpec, total, strip int, par StripPar, seq StripSeq) (S
 // its checkpoint first.
 func RunStrippedContext(ctx context.Context, spec SpecSpec, total, strip int,
 	par StripPar, seq StripSeq) (StripReport, error) {
-	return speculate.RunStrippedCtx(ctx, spec, total, strip, par, seq)
+	if strip < 1 {
+		return StripReport{}, fmt.Errorf("whilepar: strip size must be positive, got %d", strip)
+	}
+	return speculate.RunStrips(ctx, spec, 0, total, speculate.Strips{Size: strip}, par, seq)
 }
 
 // WindowedReport describes a sliding-window speculative execution.
@@ -129,7 +133,7 @@ type WindowConfig = window.Config
 // body returns true when the iteration meets the termination condition;
 // seq re-executes the loop if the PD test fails.
 func RunWindowed(spec SpecSpec, n int, cfg WindowConfig, body speculate.WindowedBody, seq func() int) (WindowedReport, error) {
-	return speculate.RunWindowed(spec, n, cfg, body, seq)
+	return speculate.RunWindowedCtx(context.Background(), spec, n, cfg, body, seq)
 }
 
 // RunWindowedContext is RunWindowed under a context: ctx is observed at

@@ -63,13 +63,14 @@ type Tuner struct {
 	events             []RetuneEvent
 }
 
-// NewTuner returns a Tuner starting from cfg.Plan.
+// NewTuner returns a Tuner starting from cfg.Plan; a Pipelined plan
+// asks for the pipelined engine from the first strip on.
 func NewTuner(cfg TunerConfig) *Tuner {
 	procs := cfg.Procs
 	if procs < 1 {
 		procs = 1
 	}
-	t := &Tuner{cfg: cfg, strip: cfg.Plan.Strip, minStrip: procs}
+	t := &Tuner{cfg: cfg, strip: cfg.Plan.Strip, minStrip: procs, pipeline: cfg.Plan.Engine == Pipelined}
 	if t.strip < 1 {
 		t.strip = 1
 	}

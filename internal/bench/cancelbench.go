@@ -163,12 +163,12 @@ func CancelBench(procs, iters, strip, work int) CancelBenchReport {
 
 	rep.Engines = append(rep.Engines, wl.measure("stripped", reps,
 		func(ctx context.Context, stop context.CancelFunc) (int, error) {
-			r, err := speculate.RunStrippedCtx(ctx, spec(), iters, strip, stripPar(stop), stripSeq)
+			r, err := speculate.RunStrips(ctx, spec(), 0, iters, speculate.Strips{Size: strip}, stripPar(stop), stripSeq)
 			return r.Valid, err
 		}))
 	rep.Engines = append(rep.Engines, wl.measure("pipelined", reps,
 		func(ctx context.Context, stop context.CancelFunc) (int, error) {
-			r, err := speculate.RunStrippedPipelinedCtx(ctx, spec(), iters, strip, stripPar(stop), stripSeq)
+			r, err := speculate.RunStrips(ctx, spec(), 0, iters, speculate.Strips{Size: strip, Pipeline: true}, stripPar(stop), stripSeq)
 			return r.Valid, err
 		}))
 	return rep

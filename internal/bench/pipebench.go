@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -208,12 +209,14 @@ func PipeBenchJournal(procs, iters, strip, work int, journal tsmem.Journal) Pipe
 			if pipelined {
 				pool := sched.NewPool(procs)
 				start = time.Now()
-				r, err = speculate.RunStrippedPipelined(spec(), iters, strip, wl.par(procs, pool), wl.seq)
+				r, err = speculate.RunStrips(context.Background(), spec(), 0, iters,
+					speculate.Strips{Size: strip, Pipeline: true}, wl.par(procs, pool), wl.seq)
 				secs = time.Since(start).Seconds()
 				pool.Close()
 			} else {
 				start = time.Now()
-				r, err = speculate.RunStripped(spec(), iters, strip, wl.par(procs, nil), wl.seq)
+				r, err = speculate.RunStrips(context.Background(), spec(), 0, iters,
+					speculate.Strips{Size: strip}, wl.par(procs, nil), wl.seq)
 				secs = time.Since(start).Seconds()
 			}
 			if err != nil {
@@ -257,12 +260,12 @@ func PipeBenchJournal(procs, iters, strip, work int, journal tsmem.Journal) Pipe
 		}
 		pool := sched.NewPool(sp)
 		start := time.Now()
-		_, err := speculate.RunStrippedPipelined(speculate.Spec{
+		_, err := speculate.RunStrips(context.Background(), speculate.Spec{
 			Procs:   sp,
 			Shared:  []*mem.Array{wl.a},
 			Tested:  []*mem.Array{wl.a},
 			Journal: journal,
-		}, iters, strip, wl.par(sp, pool), wl.seq)
+		}, 0, iters, speculate.Strips{Size: strip, Pipeline: true}, wl.par(sp, pool), wl.seq)
 		secs := time.Since(start).Seconds()
 		pool.Close()
 		if err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -166,20 +167,26 @@ func RecBench(procs, iters, work int) RecBenchReport {
 				spec.Recovery = speculate.Recovery{Enabled: true}
 			}
 			start := time.Now()
-			r, err := speculate.RunRecovering(spec, iters, wl.par(procs), wl.seq)
+			// One strip over the whole space: the failed strip either
+			// salvages its prefix and runs [w, iters) sequentially, or
+			// is fully restored and re-runs all of it sequentially.
+			r, err := speculate.RunStrips(context.Background(), spec, 0, iters,
+				speculate.Strips{Size: iters}, wl.par(procs), wl.seq)
 			secs := time.Since(start).Seconds()
 			if err != nil {
 				panic(fmt.Sprintf("recbench: %v", err))
 			}
 			if rip == 0 || secs < out.Seconds {
-				out = RecBenchResult{Seconds: secs, Valid: r.Valid,
-					PrefixCommitted: r.PrefixCommitted, SeqIters: r.SeqIters}
+				out = RecBenchResult{Seconds: secs, Valid: r.Valid, PrefixCommitted: r.PrefixCommitted}
+				if r.SeqStrips > 0 {
+					out.SeqIters = r.Valid - r.PrefixCommitted
+				}
 			}
 		}
 		return out
 	}
 
-	// Baseline: recovery off — the failed window is fully restored and
+	// Baseline: recovery off — the failed strip is fully restored and
 	// the whole loop re-executes sequentially (the classic protocol).
 	rep.Baseline = measure(false)
 	rep.Baseline.Name = "full-restore"
@@ -217,14 +224,14 @@ const (
 // simRecoveryProtocols returns the deterministic makespans of the
 // full-restore baseline and the partial-commit recovery on the
 // late-violation workload (n iterations, first violation at w) at p
-// virtual processors, phase by phase mirroring RunRecovering:
+// virtual processors, phase by phase mirroring one whole-space strip
+// of speculate.RunStrips:
 //
 //	baseline: checkpoint + parallel attempt + analysis
 //	          + full restore + sequential re-execution of all n
 //	recovery: checkpoint + parallel attempt + analysis
 //	          + partial commit (stamp scan, suffix restore, re-checkpoint)
-//	          + re-speculated window [w, n) + its analysis
-//	          + window restore + sequential tail of n-w
+//	          + sequential tail of n-w
 func simRecoveryProtocols(p, n, w int) (baseline, recovery float64) {
 	cost := func(int) float64 { return recWork + recTS + 2*recShadow }
 	doall := func(cnt int) float64 {
@@ -238,8 +245,7 @@ func simRecoveryProtocols(p, n, w int) (baseline, recovery float64) {
 	baseline = attempt + sweep(n, recCopy) + seqDirect(n)
 	recovery = attempt +
 		sweep(n, recScan) + sweep(n-w, recCopy) + sweep(n, recCopy) + // partial commit + rebase
-		doall(n-w) + sweep(n, recAnalyze) + // re-speculated window (shadow extent is still n)
-		sweep(n-w, recCopy) + seqDirect(n-w) // pinned violation: restore window, finish sequentially
+		seqDirect(n-w)
 	return baseline, recovery
 }
 

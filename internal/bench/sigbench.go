@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -261,7 +262,8 @@ func SigBench(procs, iters, strip, work int) SigBenchReport {
 				wl.a.Data[i] = 0
 			}
 			start := time.Now()
-			r, err := speculate.RunStripped(spec(tier), iters, strip, wl.par(procs), wl.seq)
+			r, err := speculate.RunStrips(context.Background(), spec(tier), 0, iters,
+				speculate.Strips{Size: strip}, wl.par(procs), wl.seq)
 			secs := time.Since(start).Seconds()
 			if err != nil {
 				panic(fmt.Sprintf("sigbench: %v", err))

@@ -8,7 +8,6 @@ import (
 	"whilepar/internal/autotune"
 	"whilepar/internal/cancel"
 	"whilepar/internal/loopir"
-	"whilepar/internal/mem"
 	"whilepar/internal/sched"
 	"whilepar/internal/speculate"
 )
@@ -237,64 +236,21 @@ func runInductionAuto(ctx context.Context, l *loopir.Loop[int], cf loopir.Closed
 		pool = sched.NewPool(procs)
 		defer pool.Close()
 	}
-	var executed, overshot int
-	stripPar := func(trk mem.Tracker, lo, hi int) (int, bool, error) {
-		res, err := sched.DOALLCtx(ctx, hi-lo, sched.Options{Procs: procs,
-			Schedule: plan.Schedule, Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool},
-			func(i, vpn int) sched.Control {
-				gi := lo + i
-				dv := cf.At(gi)
-				if l.Cond != nil && !l.Cond(dv) {
-					return sched.Quit
-				}
-				it := loopir.Iter{Index: gi, VPN: vpn, Tracker: trk}
-				if !l.Body(&it, dv) {
-					return sched.Quit
-				}
-				return sched.Continue
-			})
-		executed += res.Executed
-		overshot += res.Overshot
-		if err != nil {
-			// Re-anchor a contained panic's strip-local index to the
-			// global iteration space before it unwinds.
-			if pe, ok := cancel.AsPanic(err); ok && pe.Iter >= 0 {
-				pe.Iter += lo
-			}
-		}
-		return res.QuitIndex, res.QuitIndex < hi-lo, err
-	}
-	dispAt := inductionDispAt(l)
-	stripSeq := func(lo, hi int) (int, bool) {
-		dv := dispAt(lo)
-		for i := lo; i < hi; i++ {
-			if l.Cond != nil && !l.Cond(dv) {
-				return i - lo, true
-			}
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, dv) {
-				return i - lo, true
-			}
-			dv = l.Disp.Next(dv)
-		}
-		return hi - lo, false
-	}
+	var tally stripTally
+	par, seq := stripRunners(ctx, l, cf, sched.Options{Procs: procs, Schedule: plan.Schedule,
+		Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool}, &tally)
 	spec := speculate.Spec{Procs: procs, Shared: opt.Shared, Tested: opt.Tested,
 		Tier:    speculate.Tier(plan.Tier),
 		Metrics: opt.Metrics, Tracer: opt.Tracer}
+	// A Pipelined plan starts the Tuner with the pipeline switch set, so
+	// RunStrips goes straight to the pipelined engine at plan.Strip.
 	tuner := autotune.NewTuner(autotune.TunerConfig{Plan: plan, Procs: procs,
 		Total: total, PipelineOK: true, Metrics: opt.Metrics})
-	var srep speculate.StripReport
-	var err error
-	if plan.Engine == autotune.Pipelined {
-		srep, err = speculate.RunStrippedPipelinedFromCtx(ctx, spec, probeN, total, plan.Strip, stripPar, stripSeq)
-	} else {
-		srep, err = speculate.RunTunedCtx(ctx, spec, probeN, total, tuner, stripPar, stripSeq)
-	}
+	srep, err := speculate.RunStrips(ctx, spec, probeN, total, tuner, par, seq)
 	rep.Valid = probeN + srep.Valid
 	rep.Undone = srep.Undone
 	rep.PrefixCommitted = srep.PrefixCommitted
-	rep.Executed, rep.Overshot = executed, overshot
+	rep.Executed, rep.Overshot = tally.executed, tally.overshot
 	rep.Retunes = tuner.Events()
 	rep.ValidationTier = int(srep.Tier)
 	rep.TierDemoted = srep.TierDemoted

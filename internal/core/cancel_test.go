@@ -88,51 +88,89 @@ func TestRunInductionCtxPanicSurfaces(t *testing.T) {
 	// committed prefix — and the error matches ErrWorkerPanic with the
 	// global iteration attached.  Under the adaptive default the
 	// committed prefix is the sequential probe plus every clean strip
-	// before the one that panicked.
-	a := mem.NewArray("A", 128)
-	var fired atomic.Bool
-	l := &loopir.Loop[int]{
-		Class: loopir.Class{Dispatcher: loopir.MonotonicInduction, Terminator: loopir.RV},
-		Disp:  loopir.IntInduction{C: 1},
-		Body: func(it *loopir.Iter, d int) bool {
-			if d == 40 && fired.CompareAndSwap(false, true) {
+	// before the one that panicked; under StrategyPipeline it is the
+	// pipelined strips committed before it, for an induction loop and
+	// for an associative loop over precomputed terms alike.
+	for _, tc := range []struct {
+		name     string
+		n, at    int
+		strategy Strategy
+		procs    int
+		assoc    bool
+	}{
+		{"auto", 128, 40, Auto, 4, false},
+		{"pipeline-induction", 4096, 3000, StrategyPipeline, 2, false},
+		{"pipeline-associative", 4096, 3000, StrategyPipeline, 2, true},
+	} {
+		a := mem.NewArray("A", tc.n)
+		var fired atomic.Bool
+		body := func(d int) bool {
+			if d == tc.at && fired.CompareAndSwap(false, true) {
 				panic("body exploded")
 			}
-			if d >= 100 {
+			if tc.strategy == Auto && d >= 100 {
 				return false
 			}
-			it.Store(a, d, float64(d)+1)
 			return true
-		},
-		Max: 128,
-	}
-	rep, err := RunInductionCtx(context.Background(), l, Options{
-		Procs:           4,
-		InductionMethod: induction.Induction1,
-		Shared:          []*mem.Array{a},
-		Tested:          []*mem.Array{a},
-	})
-	if !errors.Is(err, cancel.ErrWorkerPanic) {
-		t.Fatalf("err = %v", err)
-	}
-	pe, ok := cancel.AsPanic(err)
-	if !ok || pe.Iter != 40 || pe.Value != "body exploded" {
-		t.Fatalf("panic detail %+v", pe)
-	}
-	if rep.UsedParallel {
-		t.Fatalf("report %+v", rep)
-	}
-	for i, v := range a.Data {
-		if i < rep.Valid {
-			if v != float64(i)+1 {
-				t.Fatalf("A[%d] = %v inside the committed prefix (Valid = %d)", i, v, rep.Valid)
-			}
-		} else if v != 0 {
-			t.Fatalf("A[%d] = %v after restore (Valid = %d)", i, v, rep.Valid)
 		}
-	}
-	if rep.Valid > 40 {
-		t.Fatalf("Valid = %d commits past the panicking iteration", rep.Valid)
+		opt := Options{
+			Strategy:        tc.strategy,
+			Procs:           tc.procs,
+			InductionMethod: induction.Induction1,
+			Shared:          []*mem.Array{a},
+			Tested:          []*mem.Array{a},
+		}
+		var rep Report
+		var err error
+		if tc.assoc {
+			rep, err = RunAssociativeCtx(context.Background(), &loopir.Loop[float64]{
+				Class: loopir.Class{Dispatcher: loopir.AssociativeRecurrence, Terminator: loopir.RV},
+				Disp:  loopir.Affine{A: 1, B: 1}, // x = 0, 1, 2, ...
+				Body: func(it *loopir.Iter, x float64) bool {
+					if !body(int(x)) {
+						return false
+					}
+					it.Store(a, it.Index, x+1)
+					return true
+				},
+				Max: tc.n,
+			}, opt)
+		} else {
+			rep, err = RunInductionCtx(context.Background(), &loopir.Loop[int]{
+				Class: loopir.Class{Dispatcher: loopir.MonotonicInduction, Terminator: loopir.RV},
+				Disp:  loopir.IntInduction{C: 1},
+				Body: func(it *loopir.Iter, d int) bool {
+					if !body(d) {
+						return false
+					}
+					it.Store(a, d, float64(d)+1)
+					return true
+				},
+				Max: tc.n,
+			}, opt)
+		}
+		if !errors.Is(err, cancel.ErrWorkerPanic) {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		pe, ok := cancel.AsPanic(err)
+		if !ok || pe.Iter != tc.at || pe.Value != "body exploded" {
+			t.Fatalf("%s: panic detail %+v", tc.name, pe)
+		}
+		if rep.UsedParallel {
+			t.Fatalf("%s: report %+v", tc.name, rep)
+		}
+		for i, v := range a.Data {
+			if i < rep.Valid {
+				if v != float64(i)+1 {
+					t.Fatalf("%s: A[%d] = %v inside the committed prefix (Valid = %d)", tc.name, i, v, rep.Valid)
+				}
+			} else if v != 0 {
+				t.Fatalf("%s: A[%d] = %v after restore (Valid = %d)", tc.name, i, v, rep.Valid)
+			}
+		}
+		if rep.Valid > tc.at {
+			t.Fatalf("%s: Valid = %d commits past the panicking iteration", tc.name, rep.Valid)
+		}
 	}
 }
 

@@ -120,10 +120,6 @@ type Options struct {
 	// of full checkpointing — for loops whose writes touch a sparse
 	// subset of large arrays.
 	SparseUndo bool
-	// MaxRespecRounds bounds renewed parallel attempts after partial
-	// commits in the re-speculating engines (StrategyRecover); 0 means
-	// speculate.DefaultMaxRespecRounds.  Negative values are rejected.
-	MaxRespecRounds int
 	// Pool runs every parallel phase of the execution on one persistent
 	// worker pool: the workers are spawned once per entry-point call
 	// and parked on a barrier between phases, so a strip-mined or
@@ -223,24 +219,6 @@ func closePool(p *sched.Pool, owned bool) {
 	}
 }
 
-// pipeStrip sizes the strips of a pipelined speculative execution:
-// small enough that many strips flow through the pipeline (a failed
-// strip forfeits little work and the PD-test overlap repeats often),
-// large enough that each strip amortizes its checkpoint and barrier.
-func pipeStrip(total, procs int) int {
-	s := total / 16
-	if min := 4 * procs; s < min {
-		s = min
-	}
-	if s > total {
-		s = total
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // recoveryFor assembles the speculate.Recovery configuration for one
 // execution; seqFrom completes the loop sequentially from an arbitrary
 // iteration against partially committed state.
@@ -248,7 +226,7 @@ func (o Options) recoveryFor(seqFrom func(from int) int) speculate.Recovery {
 	if !o.recovery {
 		return speculate.Recovery{}
 	}
-	return speculate.Recovery{Enabled: true, MaxRounds: o.MaxRespecRounds, SeqFrom: seqFrom}
+	return speculate.Recovery{Enabled: true, SeqFrom: seqFrom}
 }
 
 // Report describes what the orchestrator did.
@@ -450,13 +428,20 @@ func RunInductionCtx(ctx context.Context, l *loopir.Loop[int], opt Options) (Rep
 		return finish(rep, opt), nil
 	}
 
+	if opt.pipeline {
+		cf, ok := l.Disp.(loopir.ClosedForm[int])
+		if !ok {
+			return rep, fmt.Errorf("%w: dispatcher %T has no closed form", ErrPipelineUnsupported, l.Disp)
+		}
+		if l.Max <= 0 {
+			return rep, fmt.Errorf("%w: pipelined induction loop", ErrMissingBound)
+		}
+		// Per-strip stamps never use the Section 8.1 threshold.
+		return runStripsPipelined(ctx, l, cf, l.Max, opt, pool, rep)
+	}
 	var parRes induction.Result
 	rep.StampThreshold = stampThreshold(opt)
-	dispAt := inductionDispAt(l)
 	seqFrom := inductionSeqFrom(l)
-	if opt.pipeline {
-		return runInductionPipelined(ctx, l, opt, pool, rep, seqFrom, dispAt)
-	}
 	srep, err := speculate.RunCtx(ctx,
 		speculate.Spec{
 			Procs:          opt.procs(),
@@ -491,78 +476,6 @@ func RunInductionCtx(ctx context.Context, l *loopir.Loop[int], opt Options) (Rep
 	rep.RespecRounds, rep.PrefixCommitted = srep.RespecRounds, srep.PrefixCommitted
 	rep.Executed, rep.Overshot = parRes.Executed, parRes.Overshot
 	rep.Strategy = fmt.Sprintf("%s + speculation", opt.InductionMethod)
-	recordStats(opt, rep.Valid)
-	return finish(rep, opt), nil
-}
-
-// runInductionPipelined executes the speculative section of an
-// induction loop as pipelined strips: the iteration space is strip-
-// mined, each strip runs as a pool-backed DOALL evaluating the
-// dispatcher's closed form, and strip k+1's execution overlaps strip
-// k's PD test and commit (speculate.RunStrippedPipelined).
-func runInductionPipelined(ctx context.Context, l *loopir.Loop[int], opt Options, pool *sched.Pool, rep Report,
-	seqFrom func(int) int, dispAt func(int) int) (Report, error) {
-	cf, ok := l.Disp.(loopir.ClosedForm[int])
-	if !ok {
-		return rep, fmt.Errorf("%w: dispatcher %T has no closed form", ErrPipelineUnsupported, l.Disp)
-	}
-	if l.Max <= 0 {
-		return rep, fmt.Errorf("%w: pipelined induction loop", ErrMissingBound)
-	}
-	total := l.Max
-	// Successive stripPar calls are serialized by the engine (each
-	// overlapped strip is joined before the next launches), so plain
-	// accumulators are safe.
-	var executed, overshot int
-	stripPar := func(trk mem.Tracker, lo, hi int) (int, bool, error) {
-		res, err := sched.DOALLCtx(ctx, hi-lo, sched.Options{Procs: opt.procs(), Schedule: opt.Schedule,
-			Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool}, func(i, vpn int) sched.Control {
-			gi := lo + i
-			d := cf.At(gi)
-			if l.Cond != nil && !l.Cond(d) {
-				return sched.Quit
-			}
-			it := loopir.Iter{Index: gi, VPN: vpn, Tracker: trk}
-			if !l.Body(&it, d) {
-				return sched.Quit
-			}
-			return sched.Continue
-		})
-		executed += res.Executed
-		overshot += res.Overshot
-		return res.QuitIndex, res.QuitIndex < hi-lo, err
-	}
-	stripSeq := func(lo, hi int) (int, bool) {
-		d := dispAt(lo)
-		for i := lo; i < hi; i++ {
-			if l.Cond != nil && !l.Cond(d) {
-				return i - lo, true
-			}
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, d) {
-				return i - lo, true
-			}
-			d = l.Disp.Next(d)
-		}
-		return hi - lo, false
-	}
-	srep, err := speculate.RunStrippedPipelinedCtx(ctx,
-		speculate.Spec{Procs: opt.procs(), Shared: opt.Shared, Tested: opt.Tested,
-			Recovery: opt.recoveryFor(seqFrom), PanicFallback: opt.FallbackSequential,
-			Metrics: opt.Metrics, Tracer: opt.Tracer},
-		total, pipeStrip(total, opt.procs()), stripPar, stripSeq)
-	rep.Valid = srep.Valid
-	rep.Undone = srep.Undone
-	rep.PrefixCommitted = srep.PrefixCommitted
-	rep.Executed, rep.Overshot = executed, overshot
-	// Per-strip stamps never use the Section 8.1 threshold.
-	rep.StampThreshold = 0
-	rep.Strategy = fmt.Sprintf("%s + pipelined strip speculation", opt.InductionMethod)
-	if err != nil {
-		// srep.Valid is the committed-strip prefix on cancellation.
-		return finish(rep, opt), err
-	}
-	rep.UsedParallel = true
 	recordStats(opt, rep.Valid)
 	return finish(rep, opt), nil
 }
@@ -760,7 +673,11 @@ func runOverTerms(ctx context.Context, l *loopir.Loop[float64], terms []float64,
 		return n
 	}
 	if opt.pipeline {
-		return runTermsPipelined(ctx, l, terms, opt, pool, rep, seqFrom)
+		// The terms already satisfy the RI condition (generation
+		// stopped at it), so the strips need not re-test it.
+		lt := *l
+		lt.Cond = nil
+		return runStripsPipelined(ctx, &lt, termsAt(terms), n, opt, pool, rep)
 	}
 	srep, err := speculate.RunCtx(ctx,
 		speculate.Spec{Procs: opt.procs(), Shared: opt.Shared, Tested: opt.Tested,
@@ -780,54 +697,6 @@ func runOverTerms(ctx context.Context, l *loopir.Loop[float64], terms []float64,
 	rep.RespecRounds, rep.PrefixCommitted = srep.RespecRounds, srep.PrefixCommitted
 	rep.Executed, rep.Overshot = doallRes.Executed, doallRes.Overshot
 	rep.Strategy += " + speculation"
-	recordStats(opt, rep.Valid)
-	return finish(rep, opt), nil
-}
-
-// runTermsPipelined executes the speculative remainder DOALL over
-// precomputed dispatcher terms as pipelined strips (see
-// runInductionPipelined; here the "closed form" is the terms slice).
-func runTermsPipelined(ctx context.Context, l *loopir.Loop[float64], terms []float64, opt Options, pool *sched.Pool,
-	rep Report, seqFrom func(int) int) (Report, error) {
-	n := len(terms)
-	var executed, overshot int
-	stripPar := func(trk mem.Tracker, lo, hi int) (int, bool, error) {
-		res, err := sched.DOALLCtx(ctx, hi-lo, sched.Options{Procs: opt.procs(), Schedule: opt.Schedule,
-			Metrics: opt.Metrics, Tracer: opt.Tracer, Pool: pool}, func(i, vpn int) sched.Control {
-			gi := lo + i
-			it := loopir.Iter{Index: gi, VPN: vpn, Tracker: trk}
-			if !l.Body(&it, terms[gi]) {
-				return sched.Quit
-			}
-			return sched.Continue
-		})
-		executed += res.Executed
-		overshot += res.Overshot
-		return res.QuitIndex, res.QuitIndex < hi-lo, err
-	}
-	stripSeq := func(lo, hi int) (int, bool) {
-		for i := lo; i < hi; i++ {
-			it := loopir.Iter{Index: i, VPN: 0}
-			if !l.Body(&it, terms[i]) {
-				return i - lo, true
-			}
-		}
-		return hi - lo, false
-	}
-	srep, err := speculate.RunStrippedPipelinedCtx(ctx,
-		speculate.Spec{Procs: opt.procs(), Shared: opt.Shared, Tested: opt.Tested,
-			Recovery: opt.recoveryFor(seqFrom), PanicFallback: opt.FallbackSequential,
-			Metrics: opt.Metrics, Tracer: opt.Tracer},
-		n, pipeStrip(n, opt.procs()), stripPar, stripSeq)
-	rep.Valid = srep.Valid
-	rep.Undone = srep.Undone
-	rep.PrefixCommitted = srep.PrefixCommitted
-	rep.Executed, rep.Overshot = executed, overshot
-	rep.Strategy += " + pipelined strip speculation"
-	if err != nil {
-		return finish(rep, opt), err
-	}
-	rep.UsedParallel = true
 	recordStats(opt, rep.Valid)
 	return finish(rep, opt), nil
 }

@@ -614,9 +614,6 @@ func TestRunInductionPartialRecovery(t *testing.T) {
 }
 
 func TestValidateRecoveryOptions(t *testing.T) {
-	if err := (Options{MaxRespecRounds: -1}).Validate(); err == nil {
-		t.Fatal("negative MaxRespecRounds must be rejected")
-	}
 	if err := (Options{Strategy: StrategyRecover, SparseUndo: true}).Validate(); err == nil {
 		t.Fatal("StrategyRecover with SparseUndo must be rejected")
 	}
@@ -624,7 +621,7 @@ func TestValidateRecoveryOptions(t *testing.T) {
 	if err := (Options{Strategy: StrategyRecover, Privatized: []speculate.PrivSpec{{Arr: a}}}).Validate(); err == nil {
 		t.Fatal("StrategyRecover with Privatized must be rejected")
 	}
-	if err := (Options{Strategy: StrategyRecover, MaxRespecRounds: 3}).Validate(); err != nil {
+	if err := (Options{Strategy: StrategyRecover}).Validate(); err != nil {
 		t.Fatalf("valid recovery options rejected: %v", err)
 	}
 }

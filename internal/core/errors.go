@@ -29,9 +29,6 @@ var (
 	// ErrRunTwiceUnanalyzable: RunTwice requires statically known
 	// dependences (no Tested or Privatized arrays).
 	ErrRunTwiceUnanalyzable = errors.New("core: RunTwice requires statically known dependences")
-	// ErrBadRespecRounds: Options.MaxRespecRounds is negative (0 means
-	// the engine default).
-	ErrBadRespecRounds = errors.New("core: invalid MaxRespecRounds")
 	// ErrRecoveryUnsupported: partial-commit recovery needs the dense
 	// stamped undo path — it cannot bound a suffix rewind from the
 	// sparse log, and privatized copies have no per-location stamps.
@@ -102,9 +99,6 @@ func (o Options) Validate() error {
 	}
 	if o.runTwice && (len(o.Tested) > 0 || len(o.Privatized) > 0) {
 		return ErrRunTwiceUnanalyzable
-	}
-	if o.MaxRespecRounds < 0 {
-		return fmt.Errorf("%w: %d", ErrBadRespecRounds, o.MaxRespecRounds)
 	}
 	if o.Deadline < 0 {
 		return fmt.Errorf("%w: %v (0 means none)", ErrBadDeadline, o.Deadline)

@@ -117,7 +117,7 @@ func (o Options) autoEligible() bool {
 		len(o.Privatized) == 0 &&
 		!o.SparseUndo &&
 		!o.Pool && !o.FallbackSequential &&
-		o.MaxRespecRounds == 0 && o.MinIters == 0 &&
+		o.MinIters == 0 &&
 		o.Stats == nil && o.Times.Tseq() <= 0
 }
 

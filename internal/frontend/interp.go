@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"whilepar/internal/core"
@@ -389,7 +390,15 @@ func AutoEnv(ast *LoopAST, n int) *Env {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		return float64((seed>>11)%1000) / 100
 	}
+	// One rnd stream fills every array, so the arrays are filled in
+	// sorted name order: Go's map order would hand each array a
+	// different slice of the stream on every call.
+	names := make([]string, 0, len(arrays))
 	for name := range arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		a := mem.NewArray(name, n)
 		for i := range a.Data {
 			a.Data[i] = rnd()

@@ -321,3 +321,36 @@ func TestAutoEnvBindsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestAutoEnvDeterministic(t *testing.T) {
+	// Several arrays share one pseudo-random stream; every call must
+	// hand each array the same data regardless of map iteration order.
+	ast, err := Parse(`
+		while (i < n) {
+			err = residual(obs[i], pred[i])
+			if (err > limit) exit
+			state[idx[i]] = smooth(state[idx[i]], obs[i]) + w[i]
+			i = i + 1
+		}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := AutoEnv(ast, 32)
+	if len(first.Arrays) < 3 {
+		t.Fatalf("want at least 3 arrays, got %d", len(first.Arrays))
+	}
+	for run := 0; run < 20; run++ {
+		env := AutoEnv(ast, 32)
+		for name, want := range first.Arrays {
+			got := env.Arrays[name]
+			if got == nil {
+				t.Fatalf("run %d: array %q missing", run, name)
+			}
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("run %d: %s[%d] = %v, first call gave %v", run, name, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}

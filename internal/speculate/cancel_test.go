@@ -122,8 +122,8 @@ func TestRunStrippedCtxCancelKeepsCommittedPrefix(t *testing.T) {
 		return hi - lo, false, nil
 	}
 	seq := func(lo, hi int) (int, bool) { t.Fatal("no sequential fallback on cancel"); return 0, false }
-	rep, err := RunStrippedCtx(ctx, Spec{Procs: 2, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
-		n, strip, par, seq)
+	rep, err := RunStrips(ctx, Spec{Procs: 2, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
+		0, n, Strips{Size: strip}, par, seq)
 	if !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -147,8 +147,8 @@ func TestRunStrippedCtxStopsAtBoundary(t *testing.T) {
 		}
 		return par(tr, lo, hi)
 	}
-	rep, err := RunStrippedCtx(ctx, Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
-		n, strip, wrapped, seq)
+	rep, err := RunStrips(ctx, Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
+		0, n, Strips{Size: strip}, wrapped, seq)
 	if !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -174,8 +174,8 @@ func TestRunStrippedCtxPanicFallbackStaysLocal(t *testing.T) {
 		}
 		return par0(tr, lo, hi)
 	}
-	rep, err := RunStrippedCtx(context.Background(),
-		Spec{Procs: 4, Shared: []*mem.Array{a}, PanicFallback: true}, n, strip, par, seq)
+	rep, err := RunStrips(context.Background(),
+		Spec{Procs: 4, Shared: []*mem.Array{a}, PanicFallback: true}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,11 @@ func TestRunStrippedCtxPanicFallbackStaysLocal(t *testing.T) {
 }
 
 func TestRunRecoveringCtxCancelReturnsPosition(t *testing.T) {
+	// One whole-space strip with partial-commit recovery on: a runner
+	// that surfaces a cancellation after writing 30 iterations must be
+	// rewound entirely — a cancel is not a violation, so there is no
+	// prefix to salvage — and no strip or sequential completion may
+	// follow.
 	n := 100
 	a := mem.NewArray("A", n)
 	ctx, stop := context.WithCancel(context.Background())
@@ -193,24 +198,23 @@ func TestRunRecoveringCtxCancelReturnsPosition(t *testing.T) {
 	par := func(tr mem.Tracker, lo, hi int) (int, bool, error) {
 		calls++
 		if calls == 1 {
-			// First window: complete 30 iterations and QUIT-free stop
-			// via a short valid count so the engine continues.
 			for i := lo; i < lo+30; i++ {
 				tr.Store(a, i, float64(i+1), i, 0)
 			}
 			stop()
 			return 30, false, cancel.Wrap(ctx.Err())
 		}
-		t.Fatal("no window may start after cancellation")
+		t.Fatal("no strip may start after cancellation")
 		return 0, false, nil
 	}
 	seq := func(lo, hi int) (int, bool) { t.Fatal("no sequential completion on cancel"); return 0, false }
-	rep, err := RunRecoveringCtx(ctx, Spec{Procs: 2, Shared: []*mem.Array{a}}, n, par, seq)
+	spec := Spec{Procs: 2, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Recovery: Recovery{Enabled: true}}
+	rep, err := RunStrips(ctx, spec, 0, n, Strips{Size: n}, par, seq)
 	if !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("err = %v", err)
 	}
-	if rep.Valid != 0 {
-		t.Fatalf("canceled window must be rewound entirely: %+v", rep)
+	if rep.Valid != 0 || rep.PrefixCommitted != 0 {
+		t.Fatalf("canceled strip must be rewound entirely: %+v", rep)
 	}
 	expectState(t, a, 0)
 }
@@ -256,9 +260,9 @@ func TestRunStrippedPipelinedCtxCancelSquashesOverlap(t *testing.T) {
 		return hi - lo, false, nil
 	}
 	seq := func(lo, hi int) (int, bool) { t.Fatal("no sequential fallback on cancel"); return 0, false }
-	rep, err := RunStrippedPipelinedCtx(ctx,
+	rep, err := RunStrips(ctx,
 		Spec{Procs: 2, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
-		n, strip, par, seq)
+		0, n, Strips{Size: strip, Pipeline: true}, par, seq)
 	if !errors.Is(err, cancel.ErrCanceled) {
 		t.Fatalf("err = %v", err)
 	}

@@ -91,14 +91,16 @@ type pipeResult struct {
 	err   error
 }
 
-// RunStrippedPipelined is RunStripped with the serial PD-test phase
+// runStrippedPipelinedFrom is RunStrips's pipelined engine over
+// [start, total): the strip protocol with the serial PD-test phase
 // hidden behind the next strip's execution — the software pipeline the
 // persistent pool makes cheap.  While the coordinator analyzes sealed
 // strip k against generation A, strip k+1 already executes into
 // generation B (its own checkpoint, stamps and shadow marks); if k
 // validates cleanly the pipeline advances and k+1's analysis overlaps
 // k+2, and if k fails, k+1 is squashed — joined, then rewound via B's
-// checkpoint — before k is repaired exactly as in RunStripped.
+// checkpoint — before k is repaired exactly as in the tier runtime's
+// Tier-0 step.
 //
 // Why squash-on-fail is safe: B's checkpoint is taken after strip k's
 // execution has completed, so it snapshots the post-k state.  Joining
@@ -109,68 +111,43 @@ type pipeResult struct {
 // commit, or full restore against A's pre-k checkpoint) proceeds on
 // precisely the state the serial protocol would see.  The PD analysis
 // itself only reads generation A's shadow marks, never array data, so
-// it cannot observe k+1's concurrent stores.
+// it cannot observe k+1's concurrent stores.  The squash also only
+// works because every write goes through a generation's dense memory:
+// RunStrips keeps sparse-undo and privatized specs (and tiers above
+// TierFull) off this engine.
 //
 // The overlap is only launched for a clean-looking full strip (no
 // exception, no QUIT, every iteration valid) — the common case strip
 // mining is sized for; anything else ends or restarts the pipeline
 // anyway, so there is nothing useful to run ahead.
 //
-// RunStrippedPipelined is RunStrippedPipelinedCtx under
-// context.Background().
-func RunStrippedPipelined(spec Spec, total, strip int, par StripPar, seq StripSeq) (StripReport, error) {
-	return RunStrippedPipelinedCtx(context.Background(), spec, total, strip, par, seq)
-}
-
-// RunStrippedPipelinedCtx is the pipelined protocol under a context.
-// Cancellation points are the strip boundaries, with one pipelined
-// twist: when the overlapped strip k+1 surfaces a cancellation (or a
-// contained panic with Spec.PanicFallback unset) while strip k commits,
-// k+1 is squashed — rewound via its generation's post-k checkpoint,
-// counted in Squashed — so the shared arrays hold exactly the committed
-// prefix through strip k before the typed error unwinds.  Cancellation
-// never falls back to sequential re-execution.
-func RunStrippedPipelinedCtx(ctx context.Context, spec Spec, total, strip int, par StripPar, seq StripSeq) (StripReport, error) {
-	return runStrippedPipelinedFrom(ctx, spec, 0, total, strip, par, seq)
-}
-
-// RunStrippedPipelinedFromCtx is the pipelined protocol over [start,
-// total) for an orchestrator that already committed a prefix below
-// start (the auto-tuner's sequential probe).  Semantics are those of
-// RunStrippedPipelinedCtx with the first generation's checkpoint
-// snapshotting the post-start state; Valid counts iterations from
-// start.
-func RunStrippedPipelinedFromCtx(ctx context.Context, spec Spec, start, total, strip int, par StripPar, seq StripSeq) (StripReport, error) {
-	return runStrippedPipelinedFrom(ctx, spec, start, total, strip, par, seq)
-}
-
-// runStrippedPipelinedFrom is the pipelined protocol over [start,
-// total): iterations below start are treated as already committed (the
-// orchestrator's sequential probe, or a tuned engine's committed
-// prefix), so the first generation's checkpoint snapshots the
+// Iterations below start are treated as already committed (the
+// orchestrator's sequential probe, or the strips RunStrips committed
+// before a mid-run promotion), so the first generation's checkpoint snapshots the
 // post-start state and every stamp, PD mark and Analyze call keeps
 // using global indices.  The report's Valid counts iterations from
-// start.
+// start.  Cancellation points are the strip boundaries, with one
+// pipelined twist: when the overlapped strip k+1 surfaces a
+// cancellation (or a contained panic with Spec.PanicFallback unset)
+// while strip k commits, k+1 is squashed — rewound via its
+// generation's post-k checkpoint, counted in Squashed — so the shared
+// arrays hold exactly the committed prefix through strip k before the
+// typed error unwinds.
 func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, strip int, par StripPar, seq StripSeq) (StripReport, error) {
-	if par == nil || seq == nil {
-		return StripReport{}, fmt.Errorf("speculate: both strip runners are required")
-	}
-	if strip < 1 {
-		return StripReport{}, fmt.Errorf("speculate: strip size must be positive, got %d", strip)
-	}
-	if spec.SparseUndo {
-		return StripReport{}, fmt.Errorf("speculate: RunStrippedPipelined requires the dense stamped path (no SparseUndo)")
-	}
-	if len(spec.Privatized) > 0 {
-		// Privatized writes bypass the generation's Memory, so a squash
-		// could not erase them.
-		return StripReport{}, fmt.Errorf("speculate: RunStrippedPipelined does not support privatized arrays")
-	}
 	procs := spec.Procs
 	if procs < 1 {
 		procs = 1
 	}
 	mx, tr := spec.Metrics, spec.Tracer
+	var rep StripReport
+	lo := start
+	if lo >= total {
+		return rep, nil
+	}
+	if cerr := cancel.Err(ctx); cerr != nil {
+		mx.CtxCancel()
+		return rep, cerr
+	}
 
 	a, b := newPipeGen(spec, procs), newPipeGen(spec, procs)
 	defer a.release()
@@ -188,19 +165,6 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 			return total
 		}
 		return x
-	}
-
-	var rep StripReport
-	lo := start
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= total {
-		return rep, nil
-	}
-	if cerr := cancel.Err(ctx); cerr != nil {
-		mx.CtxCancel()
-		return rep, cerr
 	}
 
 	// Prime the pipeline: the first strip has nothing to overlap.
@@ -316,7 +280,7 @@ func runStrippedPipelinedFrom(ctx context.Context, spec Spec, start, total, stri
 			}
 			mx.SpecAbort(reason)
 			if spec.Recovery.Enabled && err == nil && firstViol > lo {
-				// Strip-local partial commit, as in RunStripped.
+				// Strip-local partial commit, as in the Tier-0 step.
 				restored, perr := a.ts.PartialCommit(firstViol)
 				if perr != nil {
 					return rep, perr

@@ -1,6 +1,7 @@
 package speculate
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,10 +35,11 @@ func poolStripLoop(a *mem.Array, pool *sched.Pool, exit, depLo, depHi int) (Stri
 	return par, seq
 }
 
-// TestRunStrippedPipelinedMatchesRunStripped drives both strip engines
-// through randomized loops — exits, planted dependence windows,
-// recovery on and off, pool-backed and spawn-per-strip DOALLs — and
-// requires identical validity, fallback accounting, and final memory.
+// TestRunStrippedPipelinedMatchesRunStripped drives RunStrips with and
+// without Strips.Pipeline through randomized loops — exits, planted
+// dependence windows, recovery on and off, pool-backed and
+// spawn-per-strip DOALLs — and requires identical validity, fallback
+// accounting, and final memory.
 func TestRunStrippedPipelinedMatchesRunStripped(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 40; trial++ {
@@ -66,9 +68,9 @@ func TestRunStrippedPipelinedMatchesRunStripped(t *testing.T) {
 
 		aS := mem.NewArray("A", n)
 		parS, seqS := stripLoop(aS, exit, depLo, depHi)
-		repS, errS := RunStripped(mkSpec(aS), n, strip, parS, seqS)
+		repS, errS := RunStrips(context.Background(), mkSpec(aS), 0, n, Strips{Size: strip}, parS, seqS)
 		if errS != nil {
-			t.Fatalf("trial %d: RunStripped: %v", trial, errS)
+			t.Fatalf("trial %d: stripped: %v", trial, errS)
 		}
 
 		aP := mem.NewArray("A", n)
@@ -81,12 +83,12 @@ func TestRunStrippedPipelinedMatchesRunStripped(t *testing.T) {
 		} else {
 			parP, seqP = stripLoop(aP, exit, depLo, depHi)
 		}
-		repP, errP := RunStrippedPipelined(mkSpec(aP), n, strip, parP, seqP)
+		repP, errP := RunStrips(context.Background(), mkSpec(aP), 0, n, Strips{Size: strip, Pipeline: true}, parP, seqP)
 		if pool != nil {
 			pool.Close()
 		}
 		if errP != nil {
-			t.Fatalf("trial %d: RunStrippedPipelined: %v", trial, errP)
+			t.Fatalf("trial %d: pipelined: %v", trial, errP)
 		}
 
 		if repP.Valid != repS.Valid || repP.Done != repS.Done {
@@ -109,9 +111,8 @@ func TestRunStrippedPipelinedCleanLoopOverlapsEveryStrip(t *testing.T) {
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 0, 0)
 	m := obs.NewMetrics()
-	rep, err := RunStrippedPipelined(
-		Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
-		n, strip, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
+		0, n, Strips{Size: strip, Pipeline: true}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +140,8 @@ func TestRunStrippedPipelinedSquashesInFlightStrip(t *testing.T) {
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 50, 55)
 	m := obs.NewMetrics()
-	rep, err := RunStrippedPipelined(
-		Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
-		n, strip, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Metrics: m},
+		0, n, Strips{Size: strip, Pipeline: true}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,20 +157,32 @@ func TestRunStrippedPipelinedSquashesInFlightStrip(t *testing.T) {
 	expectState(t, a, n)
 }
 
-func TestRunStrippedPipelinedRejectsUnsupportedSpecs(t *testing.T) {
-	par := func(mem.Tracker, int, int) (int, bool, error) { return 0, false, nil }
-	seq := func(int, int) (int, bool) { return 0, false }
-	a := mem.NewArray("A", 8)
-	if _, err := RunStrippedPipelined(Spec{SparseUndo: true}, 10, 4, par, seq); err == nil {
-		t.Fatal("SparseUndo must be rejected")
-	}
-	if _, err := RunStrippedPipelined(Spec{Privatized: []PrivSpec{{Arr: a}}}, 10, 4, par, seq); err == nil {
-		t.Fatal("Privatized must be rejected")
-	}
-	if _, err := RunStrippedPipelined(Spec{}, 10, 0, par, seq); err == nil {
-		t.Fatal("zero strip must be rejected")
-	}
-	if _, err := RunStrippedPipelined(Spec{}, 10, 4, nil, nil); err == nil {
-		t.Fatal("nil runners must be rejected")
+// TestRunStripsPipelineRequestStaysStrippedWhenUnsquashable: a pipelined
+// request for a spec a squash could not cover (sparse undo, or a tier
+// above TierFull) runs on the stripped path instead — same committed
+// state, no overlap.
+func TestRunStripsPipelineRequestStaysStrippedWhenUnsquashable(t *testing.T) {
+	n, strip := 160, 32
+	for _, tc := range []struct {
+		name string
+		spec func(a *mem.Array) Spec
+	}{
+		{"sparse-undo", func(a *mem.Array) Spec {
+			return Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, SparseUndo: true}
+		}},
+		{"signature-tier", func(a *mem.Array) Spec {
+			return Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}, Tier: TierSignature}
+		}},
+	} {
+		a := mem.NewArray("A", n)
+		par, seq := stripLoop(a, -1, 0, 0)
+		rep, err := RunStrips(context.Background(), tc.spec(a), 0, n, Strips{Size: strip, Pipeline: true}, par, seq)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.Valid != n || rep.Overlapped != 0 || rep.Strips != n/strip {
+			t.Fatalf("%s: report %+v", tc.name, rep)
+		}
+		expectState(t, a, n)
 	}
 }

@@ -1,10 +1,11 @@
 package speculate
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"whilepar/internal/costmodel"
 	"whilepar/internal/mem"
 	"whilepar/internal/obs"
 	"whilepar/internal/sched"
@@ -160,7 +161,7 @@ func TestRunPartialRecoveryEquivalence(t *testing.T) {
 
 		// Baseline: full restore + sequential re-execution.
 		d.reset()
-		repBase, err := Run(mkSpec(false), d.par(1), seqFull)
+		repBase, err := RunCtx(context.Background(), mkSpec(false), d.par(1), seqFull)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestRunPartialRecoveryEquivalence(t *testing.T) {
 
 		// Partial recovery.
 		d.reset()
-		repRec, err := Run(mkSpec(true), d.par(1), seqFull)
+		repRec, err := RunCtx(context.Background(), mkSpec(true), d.par(1), seqFull)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func TestRunStrippedPartialRecovery(t *testing.T) {
 		Metrics:  mx,
 		Recovery: Recovery{Enabled: true},
 	}
-	rep, err := RunStripped(spec, d.n, 50, d.stripPar(1), d.seqRange)
+	rep, err := RunStrips(context.Background(), spec, 0, d.n, Strips{Size: 50}, d.stripPar(1), d.seqRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestRunStrippedPartialRecovery(t *testing.T) {
 	// final state, no salvage.
 	d.reset()
 	spec.Recovery = Recovery{}
-	rep2, err := RunStripped(spec, d.n, 50, d.stripPar(1), d.seqRange)
+	rep2, err := RunStrips(context.Background(), spec, 0, d.n, Strips{Size: 50}, d.stripPar(1), d.seqRange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,41 +244,14 @@ func TestRunStrippedPartialRecovery(t *testing.T) {
 	}
 }
 
-// TestRunRecoveringAdaptiveEngine drives the dedicated recovery engine
-// over a late violation and checks prefix salvage, window shrinking and
-// equivalence.
-func TestRunRecoveringAdaptiveEngine(t *testing.T) {
-	// Violation at 90% of the space.
-	d := newDepLoop(400, 360, 370, -1)
-	wantState, wantValid := d.oracle()
-	mx := obs.NewMetrics()
-	spec := Spec{
-		Procs: 2, Shared: []*mem.Array{d.a}, Tested: []*mem.Array{d.a},
-		Metrics:  mx,
-		Recovery: Recovery{Enabled: true},
-	}
-	rep, err := RunRecovering(spec, d.n, d.stripPar(2), d.seqRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.checkState(t, "recovering", wantState)
-	if rep.Valid != wantValid || !rep.Done == (d.exit >= 0) {
-		t.Fatalf("report %+v, want valid %d", rep, wantValid)
-	}
-	if rep.PrefixCommitted < 360 {
-		t.Fatalf("PrefixCommitted = %d, want >= 360 (the salvaged prefix)", rep.PrefixCommitted)
-	}
-	if rep.Rounds < 1 {
-		t.Fatalf("Rounds = %d, want >= 1", rep.Rounds)
-	}
-	// The sequential tail must be a small fraction of the space.
-	if rep.SeqIters > 80 {
-		t.Fatalf("SeqIters = %d — recovery re-executed too much sequentially", rep.SeqIters)
-	}
-}
-
-// TestRunRecoveringEquivalenceRandomized sweeps random violation
-// positions, window policies and exits through the recovery engine.
+// TestRunRecoveringEquivalenceRandomized is the randomized "partial
+// recovery == full restore == sequential oracle" check for the strip
+// engine: random violation positions, exits and strip sizes — from
+// single-iteration strips to one strip over the whole space, the shape
+// a late violation costs the most in — run through RunStrips with
+// Spec.Recovery on and off, and both must reproduce the oracle's
+// state and valid count.  With recovery on, a live violation inside
+// one strip salvages exactly the strip-local prefix below it.
 func TestRunRecoveringEquivalenceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -288,23 +262,36 @@ func TestRunRecoveringEquivalenceRandomized(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			exit = rng.Intn(n)
 		}
+		strip := n
+		if rng.Intn(2) == 0 {
+			strip = 1 + rng.Intn(n)
+		}
 		d := newDepLoop(n, w, r, exit)
 		wantState, wantValid := d.oracle()
-		spec := Spec{
-			Procs: 1, Shared: []*mem.Array{d.a}, Tested: []*mem.Array{d.a},
-			Recovery: Recovery{
-				Enabled:   true,
-				MaxRounds: rng.Intn(4) + 1,
-				Policy:    costmodel.NewRespecPolicy(rng.Intn(n)+8, 4, n),
-			},
-		}
-		rep, err := RunRecovering(spec, d.n, d.stripPar(1), d.seqRange)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.checkState(t, "recovering-rand", wantState)
-		if rep.Valid != wantValid {
-			t.Fatalf("valid = %d, want %d (n=%d w=%d r=%d exit=%d)", rep.Valid, wantValid, n, w, r, exit)
+		for _, recover := range []bool{false, true} {
+			d.reset()
+			spec := Spec{Procs: 1, Shared: []*mem.Array{d.a}, Tested: []*mem.Array{d.a},
+				Recovery: Recovery{Enabled: recover}}
+			rep, err := RunStrips(context.Background(), spec, 0, d.n, Strips{Size: strip}, d.stripPar(1), d.seqRange)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("recover=%v n=%d w=%d r=%d exit=%d strip=%d", recover, n, w, r, exit, strip)
+			d.checkState(t, label, wantState)
+			if rep.Valid != wantValid {
+				t.Fatalf("%s: valid = %d, want %d", label, rep.Valid, wantValid)
+			}
+			if !recover && rep.PrefixCommitted != 0 {
+				t.Fatalf("%s: full restore salvaged %d iterations", label, rep.PrefixCommitted)
+			}
+			// Both participants live in one strip, strictly above its
+			// start: recovery salvages [strip start, w).
+			violLive := exit < 0 || r < exit
+			if sLo := w / strip * strip; recover && violLive && r/strip == w/strip && w > sLo {
+				if rep.PrefixCommitted != w-sLo {
+					t.Fatalf("%s: PrefixCommitted = %d, want %d", label, rep.PrefixCommitted, w-sLo)
+				}
+			}
 		}
 	}
 }
@@ -354,7 +341,7 @@ func TestRunWindowedRecoveryRandomizedViolations(t *testing.T) {
 			v, _ := d.seqRange(0, d.n)
 			return v
 		}
-		rep, err := RunWindowed(spec, n, window.Config{Window: win}, body, seqFull)
+		rep, err := RunWindowedCtx(context.Background(), spec, n, window.Config{Window: win}, body, seqFull)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +392,7 @@ func TestRunWindowedBaselineUnchanged(t *testing.T) {
 		d.access(tr, i, vpn)
 		return false
 	}
-	rep, err := RunWindowed(spec, d.n, window.Config{Window: 16}, body, func() int {
+	rep, err := RunWindowedCtx(context.Background(), spec, d.n, window.Config{Window: 16}, body, func() int {
 		v, _ := d.seqRange(0, d.n)
 		return v
 	})

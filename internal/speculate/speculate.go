@@ -65,12 +65,12 @@ type Spec struct {
 	// zero value) or the element-journal oracle (tsmem.JournalElement).
 	// Benchmarks A/B the two; production callers leave it zero.
 	Journal tsmem.Journal
-	// Tier selects the strip engines' validation dial (see Tier): the
-	// full element-wise shadow oracle (zero value), Tier-1 hash-
-	// signature validation, or Tier-2 shadow-free trusted execution
-	// with sampled audits.  Modes that need the element-wise machinery
-	// (SparseUndo, Privatized) clamp it back to TierFull, and the
-	// plain, windowed and pipelined engines always run TierFull.
+	// Tier selects RunStrips's validation dial (see Tier): the full
+	// element-wise shadow oracle (zero value), Tier-1 hash-signature
+	// validation, or Tier-2 shadow-free trusted execution with sampled
+	// audits.  Modes that need the element-wise machinery (SparseUndo,
+	// Privatized) clamp it back to TierFull, and the whole-loop,
+	// windowed and pipelined strip engines always run TierFull.
 	Tier Tier
 	// Sig sizes the Tier-1 signatures (zero value selects defaults).
 	Sig sig.Config
@@ -105,8 +105,8 @@ type Spec struct {
 
 // newMemory builds the spec's dense undo memory over its shared arrays
 // with the selected journal layout — the one constructor every engine
-// (plain, stripped, windowed, pipelined, recovery, tuned) funnels
-// through, so the whilebench -journal A/B flag reaches them all.
+// (whole-loop, strip, pipelined strip, windowed) funnels through, so
+// the whilebench -journal A/B flag reaches them all.
 func (s Spec) newMemory(procs int) *tsmem.Memory {
 	return tsmem.NewShardedJournal(procs, s.Journal, s.Shared...)
 }
@@ -163,21 +163,15 @@ type Report struct {
 	PrefixCommitted int
 }
 
-// Run executes the speculation protocol.  It is RunCtx under
-// context.Background(); use RunCtx for cancellation and deadlines.
-func Run(spec Spec, par ParallelRunner, seq SequentialRunner) (Report, error) {
-	return RunCtx(context.Background(), spec, par, seq)
-}
-
-// RunCtx executes the speculation protocol under a context.  Once ctx
-// is done the engine stops before starting the parallel attempt — or,
-// when the runner itself surfaces a cancellation error, restores the
-// checkpoint — and returns ErrCanceled/ErrDeadline.  Cancellation never
-// triggers the sequential fallback: the caller asked to stop, not to
-// finish another way.  A contained worker panic
-// (cancel.ErrWorkerPanic) is restored and returned, unless
-// Spec.PanicFallback routes it through the exception path like any
-// other runner error.
+// RunCtx executes the speculation protocol over the whole loop in one
+// attempt, under a context.  Once ctx is done the engine stops before
+// starting the parallel attempt — or, when the runner itself surfaces
+// a cancellation error, restores the checkpoint — and returns
+// ErrCanceled/ErrDeadline.  Cancellation never triggers the sequential
+// fallback: the caller asked to stop, not to finish another way.  A
+// contained worker panic (cancel.ErrWorkerPanic) is restored and
+// returned, unless Spec.PanicFallback routes it through the exception
+// path like any other runner error.
 func RunCtx(ctx context.Context, spec Spec, par ParallelRunner, seq SequentialRunner) (Report, error) {
 	if par == nil || seq == nil {
 		return Report{}, fmt.Errorf("speculate: both parallel and sequential runners are required")
@@ -398,33 +392,22 @@ func snapshots(tests []*pdtest.Test, valid int) []pdtest.Result {
 	return out
 }
 
-// RunTwice implements Section 4's time-stamp-free alternative: run the
-// parallel loop once (with writes, but no stamps) purely to learn the
-// iteration count, restore the checkpoint, then run exactly the valid
-// iterations as a plain DOALL.  It costs a second execution instead of
-// per-write stamps.
+// RunTwiceCtx implements Section 4's time-stamp-free alternative: run
+// the parallel loop once (with writes, but no stamps) purely to learn
+// the iteration count, restore the checkpoint, then run exactly the
+// valid iterations as a plain DOALL.  It costs a second execution
+// instead of per-write stamps.  firstRun executes the full speculative
+// space and returns the valid count; secondRun executes exactly [0,
+// valid) with direct memory access.  procs sizes the checkpoint/restore
+// copies; the hooks count the discovery run as a speculation attempt
+// and the re-execution as its commit.
 //
-// firstRun executes the full speculative space and returns the valid
-// count; secondRun executes exactly [0, valid) with direct memory
-// access.
-func RunTwice(shared []*mem.Array, firstRun func() (int, error), secondRun func(valid int) error) (int, error) {
-	return RunTwiceCtx(context.Background(), shared, 1, obs.Hooks{}, firstRun, secondRun)
-}
-
-// RunTwiceObs is RunTwice with observability hooks and a worker count
-// for the checkpoint/restore copies: the discovery run counts as a
-// speculation attempt, the re-execution as its commit.
-func RunTwiceObs(shared []*mem.Array, procs int, h obs.Hooks, firstRun func() (int, error), secondRun func(valid int) error) (int, error) {
-	return RunTwiceCtx(context.Background(), shared, procs, h, firstRun, secondRun)
-}
-
-// RunTwiceCtx is RunTwice under a context: a cancellation detected
-// before the discovery run, or between the restore and the
-// re-execution, returns ErrCanceled/ErrDeadline with the shared state
-// restored to the checkpoint (valid count 0 — run-twice commits nothing
-// until the second run completes).  Errors from either runner —
-// including cancellation and contained panics the runners surface
-// themselves — propagate unchanged after the restore.
+// A cancellation detected before the discovery run, or between the
+// restore and the re-execution, returns ErrCanceled/ErrDeadline with
+// the shared state restored to the checkpoint (valid count 0 —
+// run-twice commits nothing until the second run completes).  Errors
+// from either runner — including cancellation and contained panics the
+// runners surface themselves — propagate unchanged after the restore.
 func RunTwiceCtx(ctx context.Context, shared []*mem.Array, procs int, h obs.Hooks, firstRun func() (int, error), secondRun func(valid int) error) (int, error) {
 	if err := cancel.Err(ctx); err != nil {
 		h.M.CtxCancel()

@@ -1,12 +1,14 @@
 package speculate
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"whilepar/internal/mem"
+	"whilepar/internal/obs"
 	"whilepar/internal/sched"
 )
 
@@ -30,7 +32,7 @@ func TestIndependentLoopPassesAndCommits(t *testing.T) {
 	n := 100
 	a := mem.NewArray("A", n)
 	spec := Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}}
-	rep, err := Run(spec,
+	rep, err := RunCtx(context.Background(), spec,
 		parallelLoop(n, 4, -1, func(tr mem.Tracker, i, vpn int) {
 			tr.Store(a, i, float64(i), i, vpn)
 		}),
@@ -58,7 +60,7 @@ func TestDependentLoopFallsBackSequentially(t *testing.T) {
 	n := 50
 	a := mem.NewArray("A", n)
 	spec := Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}}
-	rep, err := Run(spec,
+	rep, err := RunCtx(context.Background(), spec,
 		parallelLoop(n, 4, -1, func(tr mem.Tracker, i, vpn int) {
 			prev := 0.0
 			if i > 0 {
@@ -103,7 +105,7 @@ func TestOvershootUndoneOnSuccess(t *testing.T) {
 	spec := Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}}
 	// Induction-1 style runner: the full space executes speculatively
 	// (guaranteeing overshoot), the exit found by the post-loop minimum.
-	rep, err := Run(spec,
+	rep, err := RunCtx(context.Background(), spec,
 		func(tr mem.Tracker) (int, error) {
 			sched.DOALL(n, sched.Options{Procs: 4}, func(i, vpn int) sched.Control {
 				if i != 30 {
@@ -144,7 +146,7 @@ func TestPrivatizationValidatesOutputDeps(t *testing.T) {
 	sum := mem.NewArray("sum", n)
 	runSpec := func(spec Spec) (Report, bool) {
 		fallback := false
-		rep, err := Run(spec,
+		rep, err := RunCtx(context.Background(), spec,
 			parallelLoop(n, 4, -1, func(tr mem.Tracker, i, vpn int) {
 				tr.Store(tmp, 0, float64(i*2), i, vpn)
 				v := tr.Load(tmp, 0, i, vpn)
@@ -173,7 +175,7 @@ func TestPrivatizationValidatesOutputDeps(t *testing.T) {
 	// With tmp privatized and live: parallel run survives.
 	tmp2 := mem.NewArray("tmp", 1)
 	sum2 := mem.NewArray("sum", n)
-	rep2, err := Run(Spec{
+	rep2, err := RunCtx(context.Background(), Spec{
 		Procs:      4,
 		Shared:     []*mem.Array{sum2},
 		Tested:     []*mem.Array{tmp2, sum2},
@@ -210,7 +212,7 @@ func TestExceptionTriggersFallback(t *testing.T) {
 	a := mem.NewArray("A", n)
 	spec := Spec{Procs: 2, Shared: []*mem.Array{a}}
 	seqRan := false
-	rep, err := Run(spec,
+	rep, err := RunCtx(context.Background(), spec,
 		func(tr mem.Tracker) (int, error) {
 			var ex ExceptionLog
 			sched.DOALL(n, sched.Options{Procs: 2}, func(i, vpn int) sched.Control {
@@ -251,7 +253,7 @@ func TestStampThresholdFallbackWhenPredictionWrong(t *testing.T) {
 	a := mem.NewArray("A", n)
 	spec := Spec{Procs: 2, Shared: []*mem.Array{a}, StampThreshold: 50}
 	seqRan := false
-	rep, err := Run(spec,
+	rep, err := RunCtx(context.Background(), spec,
 		parallelLoop(n, 2, 10, func(tr mem.Tracker, i, vpn int) {
 			tr.Store(a, i, 9, i, vpn)
 		}),
@@ -281,7 +283,7 @@ func TestStampThresholdFallbackWhenPredictionWrong(t *testing.T) {
 }
 
 func TestRunRejectsMissingRunners(t *testing.T) {
-	if _, err := Run(Spec{}, nil, nil); err == nil {
+	if _, err := RunCtx(context.Background(), Spec{}, nil, nil); err == nil {
 		t.Fatal("nil runners must be rejected")
 	}
 }
@@ -290,7 +292,7 @@ func TestRunTwice(t *testing.T) {
 	n := 60
 	a := mem.NewArray("A", n)
 	exit := 25
-	valid, err := RunTwice([]*mem.Array{a},
+	valid, err := RunTwiceCtx(context.Background(), []*mem.Array{a}, 1, obs.Hooks{},
 		func() (int, error) {
 			// First pass: full speculative space, garbage past exit.
 			res := sched.DOALL(n, sched.Options{Procs: 4}, func(i, vpn int) sched.Control {
@@ -324,7 +326,7 @@ func TestRunTwice(t *testing.T) {
 	// First-run error restores and propagates.
 	b := mem.NewArray("B", 4)
 	b.Data[0] = 3
-	_, err = RunTwice([]*mem.Array{b},
+	_, err = RunTwiceCtx(context.Background(), []*mem.Array{b}, 1, obs.Hooks{},
 		func() (int, error) { b.Data[0] = 77; return 0, errors.New("boom") },
 		func(int) error { t.Fatal("second run must not execute"); return nil })
 	if err == nil || b.Data[0] != 3 {
@@ -367,7 +369,7 @@ func TestRandomExceptionInjectionNeverCorruptsState(t *testing.T) {
 		for i := range a.Data {
 			a.Data[i] = -7
 		}
-		rep, err := Run(
+		rep, err := RunCtx(context.Background(),
 			Spec{Procs: procs, Shared: []*mem.Array{a}},
 			func(tr mem.Tracker) (int, error) {
 				var ex ExceptionLog
@@ -421,7 +423,7 @@ func TestSparseUndoPath(t *testing.T) {
 	}
 	exit := 80
 	spec := Spec{Procs: 4, Shared: []*mem.Array{a}, SparseUndo: true}
-	rep, err := Run(spec,
+	rep, err := RunCtx(context.Background(), spec,
 		func(tr mem.Tracker) (int, error) {
 			// Induction-1 style: every candidate runs; writes hit only
 			// every 500th element.
@@ -462,7 +464,7 @@ func TestSparseUndoFallbackRestores(t *testing.T) {
 	a := mem.NewArray("A", n)
 	a.Data[7] = 42
 	spec := Spec{Procs: 2, Shared: []*mem.Array{a}, SparseUndo: true, Tested: []*mem.Array{a}}
-	rep, err := Run(spec,
+	rep, err := RunCtx(context.Background(), spec,
 		func(tr mem.Tracker) (int, error) {
 			// A flow dependence: every iteration reads then rewrites A[7].
 			sched.DOALL(50, sched.Options{Procs: 2}, func(i, vpn int) sched.Control {
@@ -491,7 +493,7 @@ func TestSparseUndoFallbackRestores(t *testing.T) {
 
 func TestSparseUndoRejectsThreshold(t *testing.T) {
 	spec := Spec{SparseUndo: true, StampThreshold: 5}
-	if _, err := Run(spec,
+	if _, err := RunCtx(context.Background(), spec,
 		func(mem.Tracker) (int, error) { return 0, nil },
 		func() int { return 0 }); err == nil {
 		t.Fatal("SparseUndo + threshold must be rejected")

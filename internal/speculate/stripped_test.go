@@ -1,6 +1,7 @@
 package speculate
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -58,8 +59,8 @@ func TestRunStrippedCleanLoop(t *testing.T) {
 	n := 200
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 0, 0)
-	rep, err := RunStripped(Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
-		n, 32, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+		0, n, Strips{Size: 32}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +77,8 @@ func TestRunStrippedStopsAtExit(t *testing.T) {
 	n := 300
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, 137, 0, 0)
-	rep, err := RunStripped(Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
-		n, 50, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+		0, n, Strips{Size: 50}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +97,8 @@ func TestRunStrippedFailedStripFallsBackLocally(t *testing.T) {
 	n := 160
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 70, 75)
-	rep, err := RunStripped(Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
-		n, 40, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+		0, n, Strips{Size: 40}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestRunStrippedExceptionFallsBack(t *testing.T) {
 		}
 		return hi - lo, false, nil
 	}
-	rep, err := RunStripped(Spec{Procs: 2, Shared: []*mem.Array{a}}, n, 40, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 2, Shared: []*mem.Array{a}}, 0, n, Strips{Size: 40}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +140,8 @@ func TestRunStrippedExitInsideFailedStrip(t *testing.T) {
 	n := 200
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, 90, 85, 95)
-	rep, err := RunStripped(Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
-		n, 40, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+		0, n, Strips{Size: 40}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +152,22 @@ func TestRunStrippedExitInsideFailedStrip(t *testing.T) {
 }
 
 func TestRunStrippedRejectsBadArgs(t *testing.T) {
-	if _, err := RunStripped(Spec{}, 10, 4, nil, nil); err == nil {
+	if _, err := RunStrips(context.Background(), Spec{}, 0, 10, Strips{Size: 4}, nil, nil); err == nil {
 		t.Fatal("nil runners must be rejected")
 	}
-	par := func(mem.Tracker, int, int) (int, bool, error) { return 0, false, nil }
-	seq := func(int, int) (int, bool) { return 0, false }
-	if _, err := RunStripped(Spec{}, 10, 0, par, seq); err == nil {
-		t.Fatal("zero strip must be rejected")
+	// A non-positive strip size is clamped to single-iteration strips
+	// (the facade rejects it before it gets here).
+	n := 10
+	a := mem.NewArray("A", n)
+	par, seq := stripLoop(a, -1, 0, 0)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 2, Shared: []*mem.Array{a}}, 0, n, Strips{}, par, seq)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rep.Strips != n || rep.Valid != n {
+		t.Fatalf("zero strip size should run %d one-iteration strips: %+v", n, rep)
+	}
+	expectState(t, a, n)
 }
 
 func TestRunStrippedOverReportingStripFails(t *testing.T) {
@@ -170,7 +179,7 @@ func TestRunStrippedOverReportingStripFails(t *testing.T) {
 	par := func(tr mem.Tracker, lo, hi int) (int, bool, error) {
 		return hi - lo + 99, false, nil
 	}
-	rep, err := RunStripped(Spec{Procs: 2, Shared: []*mem.Array{a}}, n, 20, par, seq)
+	rep, err := RunStrips(context.Background(), Spec{Procs: 2, Shared: []*mem.Array{a}}, 0, n, Strips{Size: 20}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}

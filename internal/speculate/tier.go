@@ -119,11 +119,10 @@ func (s Spec) newTracker(procs int) *sig.Sigs {
 	return sig.New(procs, arrs, s.Sig)
 }
 
-// tierRuntime is the strip-verdict state machine shared by the stripped
-// and tuned engines: one instance per run owns the undo memory, the PD
-// tests, the signatures and (at TierTrusted) the run-entry backup, and
-// executes each strip under the current tier.  The engines keep only
-// their scheduling around it.
+// tierRuntime is RunStrips's strip-verdict state machine: one instance
+// per run owns the undo memory, the PD tests, the signatures and (at
+// TierTrusted) the run-entry backup, and executes each strip under the
+// current tier.  The engine keeps only the scheduling around it.
 type tierRuntime struct {
 	spec  Spec
 	mx    *obs.Metrics
@@ -159,16 +158,28 @@ type tierRuntime struct {
 	rep *StripReport
 }
 
-// newTierRuntime builds the run's validation state.  Tiers above
-// TierFull are clamped away when the speculation mode needs the full
-// shadow machinery: sparse undo logs and privatized copies both hang
-// off the element-wise paths.
-func newTierRuntime(spec Spec, procs, start, total int, rep *StripReport) *tierRuntime {
-	tier := spec.Tier
-	if tier < TierFull || tier > TierTrusted ||
-		spec.SparseUndo || len(spec.Privatized) > 0 {
-		tier = TierFull
+// dense reports whether every write of the speculative run goes through
+// the dense stamped memory: no sparse undo log, no privatized copies.
+// Only then can a tier above TierFull cover the writes, or a pipeline
+// squash erase them.
+func (s Spec) dense() bool {
+	return !s.SparseUndo && len(s.Privatized) == 0
+}
+
+// tier is the validation tier the strip engine grants the spec: Tier,
+// clamped to TierFull when it is out of range or the speculation mode
+// needs the full shadow machinery (see dense).
+func (s Spec) tier() Tier {
+	if s.Tier < TierFull || s.Tier > TierTrusted || !s.dense() {
+		return TierFull
 	}
+	return s.Tier
+}
+
+// newTierRuntime builds the run's validation state at the spec's
+// granted tier.
+func newTierRuntime(spec Spec, procs, start, total int, rep *StripReport) *tierRuntime {
+	tier := spec.tier()
 	r := &tierRuntime{
 		spec: spec, mx: spec.Metrics, tr: spec.Tracer,
 		chosen: tier, current: tier,
@@ -274,8 +285,7 @@ func (r *tierRuntime) step(lo, hi int, par StripPar, seq StripSeq) (valid int, c
 	return valid, committed, stop, nil
 }
 
-// stepFull is the Tier-0 strip protocol — the body RunStrippedCtx ran
-// before the tiers existed, verbatim: re-arm, run under the fused
+// stepFull is the Tier-0 strip protocol: re-arm, run under the fused
 // element-wise tracker, analyze, then commit/recover/fall back.
 func (r *tierRuntime) stepFull(lo, hi int, par StripPar, seq StripSeq) (int, bool, bool, error) {
 	spec, ts, mx := r.spec, r.ts, r.mx

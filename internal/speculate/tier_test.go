@@ -1,6 +1,7 @@
 package speculate
 
 import (
+	"context"
 	"testing"
 
 	"whilepar/internal/mem"
@@ -63,10 +64,10 @@ func TestTierSignatureCleanLoop(t *testing.T) {
 	a := mem.NewArray("A", n)
 	mx := obs.NewMetrics()
 	par, seq := tierLoop(a, procs, -1, 0, 0)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierSignature, Metrics: mx,
-	}, n, strip, par, seq)
+	}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +122,10 @@ func TestTierSignatureViolationDemotes(t *testing.T) {
 	// reads element 319 — the last element of its neighbor's chunk.
 	par := depPar(a, procs, 320, 322)
 	_, seq := tierLoop(a, procs, -1, 0, 0)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierSignature, Metrics: mx,
-	}, n, strip, par, seq)
+	}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +164,10 @@ func TestTierSignatureFalsePositiveRerun(t *testing.T) {
 		return hi - lo, false, nil
 	}
 	_, seq := tierLoop(a, procs, -1, 0, 0)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierSignature, Metrics: mx,
-	}, n, strip, par, seq)
+	}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +195,10 @@ func TestTierSignatureExitMidStrip(t *testing.T) {
 	n, procs, strip := 1024, 4, 256
 	a := mem.NewArray("A", n)
 	par, seq := tierLoop(a, procs, 700, 0, 0)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierSignature,
-	}, n, strip, par, seq)
+	}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +215,10 @@ func TestTierTrustedCleanLoop(t *testing.T) {
 	a := mem.NewArray("A", n)
 	mx := obs.NewMetrics()
 	par, seq := tierLoop(a, procs, -1, 0, 0)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierTrusted, AuditEvery: 4, AuditPhase: 1, Metrics: mx,
-	}, n, strip, par, seq)
+	}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +245,10 @@ func TestTierTrustedAuditFailure(t *testing.T) {
 	// AuditPhase 1 audits strip 1 ([0,128), Stealing blocks of 32):
 	// iteration 64 reads element 63, its neighbor block's last element.
 	par, seq := tierLoop(a, procs, -1, 64, 66)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierTrusted, AuditEvery: 4, AuditPhase: 1, Metrics: mx,
-	}, n, strip, par, seq)
+	}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +271,10 @@ func TestTierTrustedExitMidStrip(t *testing.T) {
 	n, procs, strip := 1024, 4, 128
 	a := mem.NewArray("A", n)
 	par, seq := tierLoop(a, procs, 500, 0, 0)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierTrusted, AuditEvery: 4, AuditPhase: 1,
-	}, n, strip, par, seq)
+	}, 0, n, Strips{Size: strip}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +290,10 @@ func TestTierClampedBySparseUndo(t *testing.T) {
 	n := 128
 	a := mem.NewArray("A", n)
 	par, seq := tierLoop(a, 2, -1, 0, 0)
-	rep, err := RunStripped(Spec{
+	rep, err := RunStrips(context.Background(), Spec{
 		Procs: 2, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierTrusted, SparseUndo: true,
-	}, n, 32, par, seq)
+	}, 0, n, Strips{Size: 32}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestTunedTierSignature(t *testing.T) {
 	a := mem.NewArray("A", n)
 	par := depPar(a, procs, 320, 322)
 	_, seq := tierLoop(a, procs, -1, 0, 0)
-	rep, err := RunTunedCtx(t.Context(), Spec{
+	rep, err := RunStrips(t.Context(), Spec{
 		Procs: procs, Shared: []*mem.Array{a}, Tested: []*mem.Array{a},
 		Tier: TierSignature,
 	}, 0, n, fixedCtl{strip: 256}, par, seq)

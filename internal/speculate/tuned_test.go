@@ -7,7 +7,7 @@ import (
 	"whilepar/internal/mem"
 )
 
-// fakeController drives RunTunedCtx from a test script: a fixed strip
+// fakeController drives RunStrips from a test script: a fixed strip
 // size plus optional one-way switches after a given number of
 // observations.
 type fakeController struct {
@@ -43,7 +43,7 @@ func TestRunTunedCleanLoop(t *testing.T) {
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 0, 0)
 	ctl := &fakeController{strip: 64}
-	rep, err := RunTunedCtx(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		0, n, ctl, par, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestRunTunedStartOffset(t *testing.T) {
 	}
 	par, seq := stripLoop(a, -1, 0, 0)
 	ctl := &fakeController{strip: 48}
-	rep, err := RunTunedCtx(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		start, n, ctl, par, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestRunTunedViolationFallsBackPerStrip(t *testing.T) {
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 70, 90)
 	ctl := &fakeController{strip: 64}
-	rep, err := RunTunedCtx(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		0, n, ctl, par, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestRunTunedSequentialDemotion(t *testing.T) {
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 0, 0)
 	ctl := &fakeController{strip: 50, seqAfter: 2}
-	rep, err := RunTunedCtx(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		0, n, ctl, par, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestRunTunedPipelinePromotion(t *testing.T) {
 	a := mem.NewArray("A", n)
 	par, seq := stripLoop(a, -1, 0, 0)
 	ctl := &fakeController{strip: 100, pipeAfter: 2}
-	rep, err := RunTunedCtx(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
+	rep, err := RunStrips(context.Background(), Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		0, n, ctl, par, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +150,9 @@ func TestRunStrippedPipelinedFromOffset(t *testing.T) {
 		a.Data[i] = float64(i + 1)
 	}
 	par, seq := stripLoop(a, -1, 0, 0)
-	rep, err := RunStrippedPipelinedFromCtx(context.Background(),
+	rep, err := RunStrips(context.Background(),
 		Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
-		start, n, 64, par, seq)
+		start, n, Strips{Size: 64, Pipeline: true}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +169,9 @@ func TestRunStrippedPipelinedFromOffsetWithExit(t *testing.T) {
 		a.Data[i] = float64(i + 1)
 	}
 	par, seq := stripLoop(a, exit, 0, 0)
-	rep, err := RunStrippedPipelinedFromCtx(context.Background(),
+	rep, err := RunStrips(context.Background(),
 		Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
-		start, n, 64, par, seq)
+		start, n, Strips{Size: 64, Pipeline: true}, par, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRunStrippedPipelinedFromOffsetWithExit(t *testing.T) {
 
 func TestRunTunedRejectsNilController(t *testing.T) {
 	par, seq := stripLoop(mem.NewArray("A", 8), -1, 0, 0)
-	if _, err := RunTunedCtx(context.Background(), Spec{Procs: 2}, 0, 8, nil, par, seq); err == nil {
+	if _, err := RunStrips(context.Background(), Spec{Procs: 2}, 0, 8, nil, par, seq); err == nil {
 		t.Fatal("nil controller accepted")
 	}
 }

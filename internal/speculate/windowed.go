@@ -37,11 +37,11 @@ type WindowedReport struct {
 // whether it met the termination condition.
 type WindowedBody func(tr mem.Tracker, i, vpn int) (quit bool)
 
-// RunWindowed is the resource-controlled variant of the speculation
+// RunWindowedCtx is the resource-controlled variant of the speculation
 // protocol (Section 8.2 applied to Section 4/5): iterations are issued
 // under a sliding window — bounding the live time-stamp memory without
 // strip mining's global barriers — while stores are stamped and shadow-
-// marked exactly as in Run.  On a passed PD test the overshoot beyond
+// marked exactly as in RunCtx.  On a passed PD test the overshoot beyond
 // the discovered exit is undone.
 //
 // On a failure the behaviour depends on Spec.Recovery: disabled (or
@@ -54,20 +54,15 @@ type WindowedBody func(tr mem.Tracker, i, vpn int) (quit bool)
 // failed rounds (or a violation pinned at the resume point) the
 // remainder completes sequentially via Recovery.SeqFrom.
 //
-// RunWindowed is RunWindowedCtx under context.Background().
-func RunWindowed(spec Spec, n int, cfg window.Config, body WindowedBody, seq SequentialRunner) (WindowedReport, error) {
-	return RunWindowedCtx(context.Background(), spec, n, cfg, body, seq)
-}
-
-// RunWindowedCtx is the sliding-window protocol under a context.  The
-// round boundary is the cancellation point: once ctx is done no further
-// round starts, and the report's Valid is the committed position (0 on
-// the all-or-nothing path, the partially-committed prefix when recovery
-// already salvaged rounds) together with ErrCanceled/ErrDeadline — the
-// sequential completion path is never taken on cancellation.  The
-// WindowedBody has no error channel, so mid-round cancellation is the
-// caller's to arrange (return quit from the body); the engine then
-// validates and commits the shortened prefix normally.
+// The round boundary is the cancellation point: once ctx is done no
+// further round starts, and the report's Valid is the committed
+// position (0 on the all-or-nothing path, the partially-committed
+// prefix when recovery already salvaged rounds) together with
+// ErrCanceled/ErrDeadline — the sequential completion path is never
+// taken on cancellation.  The WindowedBody has no error channel, so
+// mid-round cancellation is the caller's to arrange (return quit from
+// the body); the engine then validates and commits the shortened
+// prefix normally.
 func RunWindowedCtx(ctx context.Context, spec Spec, n int, cfg window.Config, body WindowedBody, seq SequentialRunner) (WindowedReport, error) {
 	if body == nil || seq == nil {
 		return WindowedReport{}, fmt.Errorf("speculate: body and sequential runner are required")

@@ -1,6 +1,7 @@
 package speculate
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 func TestRunWindowedCleanLoop(t *testing.T) {
 	n := 500
 	a := mem.NewArray("A", n)
-	rep, err := RunWindowed(
+	rep, err := RunWindowedCtx(context.Background(),
 		Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		n,
 		window.Config{Window: 16},
@@ -43,7 +44,7 @@ func TestRunWindowedExitUndoesBoundedOvershoot(t *testing.T) {
 	for i := range a.Data {
 		a.Data[i] = -1
 	}
-	rep, err := RunWindowed(
+	rep, err := RunWindowedCtx(context.Background(),
 		Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		n,
 		window.Config{Window: w},
@@ -81,7 +82,7 @@ func TestRunWindowedDependenceFallsBack(t *testing.T) {
 	n := 200
 	a := mem.NewArray("A", n)
 	seqRan := false
-	rep, err := RunWindowed(
+	rep, err := RunWindowedCtx(context.Background(),
 		Spec{Procs: 4, Shared: []*mem.Array{a}, Tested: []*mem.Array{a}},
 		n,
 		window.Config{Window: 8},
@@ -119,7 +120,7 @@ func TestRunWindowedDependenceFallsBack(t *testing.T) {
 }
 
 func TestRunWindowedRejectsNilRunners(t *testing.T) {
-	if _, err := RunWindowed(Spec{}, 10, window.Config{}, nil, nil); err == nil {
+	if _, err := RunWindowedCtx(context.Background(), Spec{}, 10, window.Config{}, nil, nil); err == nil {
 		t.Fatal("nil runners must be rejected")
 	}
 }
@@ -137,7 +138,7 @@ func TestRunWindowedMatchesSequentialProperty(t *testing.T) {
 		for i := 0; i < exit; i++ {
 			seq.Data[i] = float64(i * 2)
 		}
-		rep, err := RunWindowed(
+		rep, err := RunWindowedCtx(context.Background(),
 			Spec{Procs: procs, Shared: []*mem.Array{par}, Tested: []*mem.Array{par}},
 			n,
 			window.Config{Window: w},

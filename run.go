@@ -32,8 +32,6 @@ var (
 	ErrBadDispatcher = core.ErrBadDispatcher
 	// ErrUnsupportedLoop: Run was handed a value it cannot classify.
 	ErrUnsupportedLoop = core.ErrUnsupportedLoop
-	// ErrBadRespecRounds: Options.MaxRespecRounds is negative.
-	ErrBadRespecRounds = core.ErrBadRespecRounds
 	// ErrRecoveryUnsupported: StrategyRecover combined with SparseUndo
 	// or Privatized arrays (partial commit needs the dense stamped
 	// path).

@@ -1,6 +1,7 @@
 package whilepar
 
 import (
+	"context"
 	"testing"
 )
 
@@ -43,6 +44,15 @@ func TestRunStrippedPublic(t *testing.T) {
 		if a.Data[i] != want {
 			t.Fatalf("A[%d] = %v", i, a.Data[i])
 		}
+	}
+	// Malformed calls are rejected before any strip runs.
+	for _, strip := range []int{0, -3} {
+		if _, err := RunStripped(SpecSpec{Procs: 2}, n, strip, par, seq); err == nil {
+			t.Fatalf("strip size %d accepted", strip)
+		}
+	}
+	if _, err := RunStrippedContext(context.Background(), SpecSpec{Procs: 2}, n, 64, nil, nil); err == nil {
+		t.Fatal("nil runners accepted")
 	}
 }
 
